@@ -11,10 +11,8 @@ SHELL := /bin/bash
 # engine's -r 32 speedup, the result store's batched plan-ahead resolve
 # (bulk vs per-cell vfs operations on a 1000-cell warm resume), the
 # run planner (in-run dedup executions saved, half-warm
-# time-to-first-measurement, zero-build warm resume), and the load-aware
-# cluster scheduler's makespan win over blind round-robin on a skewed
-# host set.
-ABLATIONS := BenchmarkAblation_(RebuildVsNoBuild|RepetitionEstimate|ParallelScaling|MemoizedReps|StoreBulkResolve|PlanAhead|LoadAware)|BenchmarkModeledRepetition
+# time-to-first-measurement, zero-build warm resume).
+ABLATIONS := BenchmarkAblation_(RebuildVsNoBuild|RepetitionEstimate|ParallelScaling|MemoizedReps|StoreBulkResolve|PlanAhead)|BenchmarkModeledRepetition
 
 .PHONY: build test race bench bench-smoke chaos gate gate-baseline
 
@@ -28,10 +26,11 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # chaos runs the cluster tier under randomized seeded fault schedules
-# (outages, latency, load skew, hangs on the non-pristine hosts) plus
-# the fixed fault-schedule determinism matrix (flap, hang, eviction,
-# load-skew, steal-heavy, ablation schedules) and asserts the merged log
-# and CSV stay byte-identical to serial every round. The seed is printed
+# (outages, latency, load skew, hangs on the non-pristine hosts, with
+# speculation drawn on or off) plus the fixed fault-schedule determinism
+# matrix (flap, slow host with and without speculation, hung host with a
+# deadline, load skew, slow majority) and asserts the merged log and CSV
+# stay byte-identical to serial every round. The seed is printed
 # on failure; reproduce with `make chaos FEX_CHAOS_SEED=<seed>`.
 FEX_CHAOS_SEED ?=
 FEX_CHAOS_ROUNDS ?= 5

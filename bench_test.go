@@ -28,7 +28,6 @@ import (
 	"fex/internal/container"
 	"fex/internal/core"
 	"fex/internal/measure"
-	"fex/internal/remote"
 	"fex/internal/runlog"
 	"fex/internal/security"
 	"fex/internal/stats"
@@ -310,85 +309,6 @@ func BenchmarkAblation_RebuildVsNoBuild(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblation_LoadAware quantifies the load-aware cluster
-// scheduler on a skewed host set: three hosts, one of which serves each
-// cell 40ms slower. Latency-weighted placement routes cells away from
-// the slow host and work-stealing drains whatever queued behind it, so
-// the run's makespan must beat the -no-load-aware -no-steal ablation
-// (blind round-robin deals the slow host a third of the cells and then
-// waits for it). Speculation is off in both arms to isolate placement.
-func BenchmarkAblation_LoadAware(b *testing.B) {
-	const slowPenalty = 40 * time.Millisecond
-	hooks := core.Hooks{
-		PerBenchmarkAction: func(rc *core.RunContext, buildType string, w workload.Workload) error {
-			return nil
-		},
-		PerRunAction: func(rc *core.RunContext, buildType string, w workload.Workload, threads, rep int) (*measure.MetricVector, error) {
-			return measure.FromMap(map[string]float64{"cycles": float64(len(w.Name())*1000 + len(buildType)*100 + threads)}), nil
-		},
-	}
-	run := func(ablated bool) time.Duration {
-		cluster := remote.NewCluster()
-		for _, h := range []string{"w1", "w2", "w3"} {
-			if _, err := cluster.Ensure(h); err != nil {
-				b.Fatal(err)
-			}
-		}
-		fx, err := core.New(core.Options{Cluster: cluster})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := fx.RegisterExperiment(&core.Experiment{
-			Name: "load_aware_ablation",
-			Kind: core.KindPerformance,
-			NewRunner: func(fx *core.Fex) (core.Runner, error) {
-				return &core.BenchRunner{Suite: "splash", Hooks: hooks}, nil
-			},
-			Collect: core.GenericCollect,
-		}); err != nil {
-			b.Fatal(err)
-		}
-		w1, err := cluster.Host("w1")
-		if err != nil {
-			b.Fatal(err)
-		}
-		w1.SetCommandLatency("run-cell", slowPenalty)
-		cfg := core.Config{
-			Experiment:  "load_aware_ablation",
-			BuildTypes:  []string{"gcc_native", "clang_native", "gcc_asan"},
-			Benchmarks:  []string{"fft", "lu", "radix"},
-			Input:       workload.SizeTest,
-			Hosts:       []string{"w1", "w2", "w3"},
-			NoSpeculate: true,
-			NoLoadAware: ablated,
-			NoSteal:     ablated,
-		}
-		start := time.Now()
-		if _, err := fx.Run(context.Background(), cfg); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	var aware, blind time.Duration
-	for i := 0; i < b.N; i++ {
-		aware = run(false)
-		blind = run(true)
-	}
-	speedup := blind.Seconds() / aware.Seconds()
-	// Expected shape: blind serializes ~3 cells on the slow host (~3x the
-	// penalty), load-aware leaves it ~1 — roughly a 2-3x makespan win; 1.3x
-	// is the generous floor for noisy shared hosts.
-	if speedup < 1.3 {
-		b.Fatalf("load-aware makespan %v vs ablated %v: speedup %.2fx below the 1.3x floor", aware, blind, speedup)
-	}
-	printTable("Load-aware scheduling ablation (9 cells, 1 of 3 hosts 40ms slow)",
-		fmt.Sprintf("load-aware+steal=%v  round-robin=%v  speedup=%.2fx\n",
-			aware.Round(time.Millisecond), blind.Round(time.Millisecond), speedup))
-	b.ReportMetric(float64(aware.Milliseconds()), "aware-makespan-ms")
-	b.ReportMetric(float64(blind.Milliseconds()), "blind-makespan-ms")
-	b.ReportMetric(speedup, "makespan-speedup")
 }
 
 // BenchmarkAblation_DryRun quantifies the Phoenix dry-run hook's cost

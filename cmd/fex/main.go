@@ -26,16 +26,15 @@
 // --state state
 // file (container persistence between invocations), -jobs parallel
 // experiment cells (default 1: the paper's serial loop), -hosts
-// comma-separated cluster worker hosts (cells are dispatched remotely
-// with failover; logs stay byte-identical to a serial run), -hosts-file
-// a file of host names (one per line; re-read while the run executes, so
-// new names join the cluster mid-run), -host-timeout a per-cell deadline
-// after which a placement is treated as a host fault and fails over,
+// comma-separated cluster worker hosts (idle hosts pull cells from one
+// shared queue, with failover; logs stay byte-identical to a serial
+// run), -hosts-file a file of host names (one per line; re-read while
+// the run executes, so new names join the cluster mid-run),
+// -host-timeout a per-cell deadline after which a placement is treated
+// as a host fault and fails over,
 // -no-speculate disables speculative straggler re-execution (-speculate,
 // the default, duplicates a straggling cell onto a spare idle host,
-// first result wins), -no-steal disables work-stealing by idle workers,
-// -no-load-aware disables latency-weighted placement (falling back to
-// round-robin), -degrade local runs queued cells on the
+// first result wins), -degrade local runs queued cells on the
 // coordinator while every host is down or probing,
 // --modeled-time record modeled instead of live wall time (makes logs
 // fully machine-independent), -resume replay already-satisfied cells from
@@ -105,8 +104,6 @@ type cliArgs struct {
 	hostsFile   string
 	hostTimeout time.Duration
 	noSpeculate bool
-	noSteal     bool
-	noLoadAware bool
 	degrade     string
 	input       string
 	debug       bool
@@ -238,10 +235,6 @@ func parseArgs(argv []string) (cliArgs, error) {
 			args.noSpeculate = false // the default; accepted for symmetry
 		case "-no-speculate", "--no-speculate":
 			args.noSpeculate = true
-		case "-no-steal", "--no-steal":
-			args.noSteal = true
-		case "-no-load-aware", "--no-load-aware":
-			args.noLoadAware = true
 		case "-degrade":
 			v, ok := next()
 			if !ok {
@@ -816,8 +809,6 @@ func buildConfig(fx *core.Fex, args cliArgs) (core.Config, error) {
 		Hosts:        args.hosts,
 		HostTimeout:  args.hostTimeout,
 		NoSpeculate:  args.noSpeculate,
-		NoSteal:      args.noSteal,
-		NoLoadAware:  args.noLoadAware,
 		Degrade:      args.degrade,
 		Debug:        args.debug,
 		Verbose:      args.verbose,

@@ -461,20 +461,6 @@ func TestParseArgsFaultToleranceFlags(t *testing.T) {
 	if args.degrade != "local" {
 		t.Errorf("degrade %q, want local", args.degrade)
 	}
-	if args.noSteal || args.noLoadAware {
-		t.Error("-no-steal/-no-load-aware defaulted on")
-	}
-
-	args, err = parseArgs([]string{"run", "-n", "splash", "-no-steal", "--no-load-aware"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !args.noSteal {
-		t.Error("-no-steal not parsed")
-	}
-	if !args.noLoadAware {
-		t.Error("--no-load-aware not parsed")
-	}
 
 	// -speculate restores the default after -no-speculate (last wins).
 	args, err = parseArgs([]string{"run", "-n", "splash", "-no-speculate", "-speculate"})

@@ -40,26 +40,20 @@ package core
 // coordinator executes queued cells itself while every host is down or
 // probing, instead of failing the run.
 //
-// Load-aware placement: healing is reactive; placement is proactive. A
-// remote.LoadCollector tracks per-host in-flight cells and EWMAs of
-// recent cell durations and probe round-trips (throttled snapshots on
-// the run's clock), and each cell is routed to the healthy untried host
-// with the lowest expected finish — EWMA × (backlog + 1) — so a
-// chronically slow host (loaded, distant, underpowered, but never
-// faulting) absorbs proportionally fewer cells instead of full rate
-// until a deadline trips. Cells queue per host; an idle worker first
-// drains its own backlog, then steals the deepest queued-behind-busy
-// cell from the most backlogged host (-no-steal is the ablation;
-// -no-load-aware falls back to round-robin placement). Placement order
-// changes under load; merge order never does — shards still merge in
-// canonical loop order, so the byte-identity contract holds under any
-// load skew.
+// Placement: released cells wait in one shared queue, in release order.
+// An idle healthy worker pulls the earliest queued cell it has not
+// already attempted, and a failed-over cell goes back at the front, so
+// fast hosts absorb more of the run without any load model and
+// speculation covers the tail a slow host would otherwise hold.
+// Placement order changes under load; merge order never does — shards
+// still merge in canonical loop order, so the byte-identity contract
+// holds under any load skew.
 //
 // Only when a cell has no untried non-evicted host left does the run
 // fail, with an error that names the cell and every host tried. None of
 // the fault handling ever writes to the run log — health transitions,
-// failovers, speculation, steals, and the end-of-run per-host summary go
-// to the -v stream only, and per-host counters ride on progress events.
+// failovers, speculation, and the end-of-run per-host summary go to the
+// -v stream only, and per-host counters ride on progress events.
 
 import (
 	"context"
@@ -104,10 +98,6 @@ const (
 	// specMinSamples is the minimum number of completed cells before the
 	// median is considered meaningful.
 	specMinSamples = 3
-	// loadSampleInterval throttles the load collector's published
-	// snapshots: placement scoring can read per-host load at most this
-	// often, so scoring stays O(1) regardless of cell rate.
-	loadSampleInterval = 50 * time.Millisecond
 )
 
 // errHostProvision marks a worker-provisioning failure surfacing through
@@ -215,12 +205,9 @@ type clusterResult struct {
 	err   error
 }
 
-// probeResult is one probation reprobe's outcome. rtt is the probe's
-// measured round-trip on the scheduler clock; on success it feeds the
-// host's RTT moving average.
+// probeResult is one probation reprobe's outcome.
 type probeResult struct {
 	worker int
-	rtt    time.Duration
 	err    error
 }
 
@@ -253,20 +240,9 @@ type clusterSched struct {
 
 	workers []*clusterWorker
 	state   []*hostState
-	// hq is the per-worker cell queue (parallel to workers): place routes
-	// each cell to the host with the lowest expected finish, and the
-	// host's worker drains its own queue head-first. overflow holds cells
-	// with no healthy untried host right now — they wait for a probe
-	// outcome, a join, or the degrade-local executor.
-	hq       [][]int
-	overflow []int
-	// busy marks workers with a placement in flight (parallel to
-	// workers). Scoring reads it instead of the collector's in-flight
-	// gauge: the scheduler's own view is exact, the throttled snapshot is
-	// not.
-	busy       []bool
-	load       *remote.LoadCollector
-	rrNext     int // round-robin cursor for -no-load-aware placement
+	// queue holds released cells waiting for a worker, earliest first;
+	// failed-over cells re-enter at the front.
+	queue      []int
 	attempted  []map[string]bool
 	idle       []int
 	inFlight   int
@@ -342,7 +318,6 @@ func runCellsCluster(rc *RunContext, vrc *RunContext, p *runPlan, ready <-chan i
 		failed:     failed,
 		ctx:        sctx,
 		cancel:     scancel,
-		load:       remote.NewLoadCollector(rc.Fex.clock, loadSampleInterval),
 		attempted:  make([]map[string]bool, len(cells)),
 		errs:       make([]error, len(cells)),
 		placements: make(map[int][]*placement),
@@ -407,8 +382,6 @@ func (s *clusterSched) admitWorker(w *clusterWorker) error {
 	}
 	s.workers = append(s.workers, w)
 	s.state = append(s.state, &hostState{stats: HostStatus{Host: w.host.Name(), State: phaseNames[hostHealthy]}})
-	s.hq = append(s.hq, nil)
-	s.busy = append(s.busy, false)
 	s.idle = append(s.idle, len(s.workers)-1)
 	return nil
 }
@@ -421,7 +394,7 @@ func (s *clusterSched) admitWorker(w *clusterWorker) error {
 func (s *clusterSched) run(ready <-chan int) error {
 	defer s.stopSpecTimer()
 	readyOpen := true
-	for readyOpen || s.inFlight > 0 || (s.queuedTotal() > 0 && !s.stop) {
+	for readyOpen || s.inFlight > 0 || (len(s.queue) > 0 && !s.stop) {
 		var readyCh <-chan int
 		if readyOpen {
 			readyCh = ready
@@ -436,8 +409,8 @@ func (s *clusterSched) run(ready <-chan int) error {
 				continue // drain: a failure already stopped the run
 			}
 			s.attempted[i] = make(map[string]bool)
-			s.place(i)
-			s.dispatch()
+			s.queue = append(s.queue, i)
+			s.assign()
 		case r := <-s.results:
 			s.handleResult(r)
 		case pr := <-s.probes:
@@ -472,8 +445,6 @@ func (s *clusterSched) run(ready <-chan int) error {
 func (s *clusterSched) launch(wi, ci int, speculative bool) {
 	w := s.workers[wi]
 	s.attempted[ci][w.host.Name()] = true
-	s.busy[wi] = true
-	s.load.JobStarted(w.host.Name())
 	pctx, cancel := context.WithCancel(s.ctx)
 	pl := &placement{
 		cell: ci, worker: wi, speculative: speculative,
@@ -583,19 +554,12 @@ func (s *clusterSched) handleResult(r clusterResult) {
 			s.localStats.Cells++
 			s.settle(ci, r.shard)
 		}
-		s.dispatch()
+		s.assign()
 		return
 	}
 
 	st := s.state[pl.worker]
 	name := s.workers[pl.worker].host.Name()
-	s.busy[pl.worker] = false
-	s.load.JobFinished(name)
-	if r.err == nil {
-		// Every successful execution — winner or superseded duplicate —
-		// is a real observation of the host's speed.
-		s.load.ObserveDuration(name, s.clk.Now().Sub(pl.start))
-	}
 
 	if pl.superseded {
 		// This placement lost a speculation race; the cell is already
@@ -610,7 +574,7 @@ func (s *clusterSched) handleResult(r clusterResult) {
 			s.backToPool(pl.worker)
 		}
 		s.emitHosts()
-		s.dispatch()
+		s.assign()
 		return
 	}
 
@@ -644,7 +608,7 @@ func (s *clusterSched) handleResult(r clusterResult) {
 			c := s.cells[ci]
 			s.vrc.logf("cluster: host %s %s; failing over %s/%s [%s]",
 				name, faultKind(pl, r.err), c.workload.Suite(), c.workload.Name(), c.buildType)
-			s.place(ci)
+			s.queue = append([]int{ci}, s.queue...)
 		}
 	default:
 		// Genuine cell failure: keep the serial loop's first-error
@@ -653,7 +617,7 @@ func (s *clusterSched) handleResult(r clusterResult) {
 		s.backToPool(pl.worker)
 	}
 	s.emitHosts()
-	s.dispatch()
+	s.assign()
 }
 
 // isHostFault classifies a placement error as a host fault: the host was
@@ -693,18 +657,12 @@ func (s *clusterSched) hostFault(wi int, cause error) {
 	if errors.Is(cause, errHostProvision) {
 		st.phase = hostEvicted
 		s.vrc.logf("cluster: host %s evicted: %v", name, cause)
-		s.drainQueue(wi)
-		s.replaceOverflow() // the eviction may exhaust a waiting cell
 		return
 	}
 	st.phase = hostProbation
 	st.probeFails = 0
 	s.vrc.logf("cluster: host %s entering probation", name)
 	s.scheduleProbe(wi, 0)
-	// Cells queued behind the faulted host never launched there: re-place
-	// them silently (no failover line — that is reserved for the one
-	// placement the fault actually stranded).
-	s.drainQueue(wi)
 }
 
 // scheduleProbe arms one reprobe of a probation host after delay on the
@@ -739,13 +697,11 @@ func (s *clusterSched) scheduleProbe(wi int, delay time.Duration) {
 				pt.Stop()
 			}
 		}()
-		pstart := s.clk.Now()
 		err := h.Ping(pctx)
-		rtt := s.clk.Now().Sub(pstart)
 		close(pdone)
 		cancel()
 		select {
-		case s.probes <- probeResult{worker: wi, rtt: rtt, err: err}:
+		case s.probes <- probeResult{worker: wi, err: err}:
 		case <-s.ctx.Done():
 		}
 	}()
@@ -764,7 +720,6 @@ func (s *clusterSched) handleProbe(pr probeResult) {
 	if pr.err == nil {
 		st.phase = hostHealthy
 		st.probeFails = 0
-		s.load.ObserveRTT(name, pr.rtt)
 		s.vrc.logf("cluster: host %s recovered; re-admitted after %d probes", name, st.stats.Probes)
 		// A recovered host is a fresh candidate: clear it from unsettled
 		// cells' attempted sets, so a cell that faulted on it before the
@@ -776,18 +731,16 @@ func (s *clusterSched) handleProbe(pr probeResult) {
 			}
 		}
 		s.idle = append(s.idle, pr.worker)
-		s.replaceOverflow()
 		s.emitHosts()
-		s.dispatch()
+		s.assign()
 		return
 	}
 	st.probeFails++
 	if st.probeFails >= maxProbeFails {
 		st.phase = hostEvicted
 		s.vrc.logf("cluster: host %s evicted after %d failed probes", name, st.probeFails)
-		s.replaceOverflow() // waiting cells settle their fate now
 		s.emitHosts()
-		s.dispatch()
+		s.assign() // queued cells waiting on this host settle their fate
 		return
 	}
 	s.scheduleProbe(pr.worker, probeBaseDelay<<(st.probeFails-1))
@@ -811,9 +764,8 @@ func (s *clusterSched) handleJoin(h *remote.Host) {
 		return
 	}
 	s.vrc.logf("cluster: host %s joined mid-run", h.Name())
-	s.replaceOverflow()
 	s.emitHosts()
-	s.dispatch()
+	s.assign()
 }
 
 // backToPool returns a worker to the idle pool if it is still healthy,
@@ -857,10 +809,7 @@ func (s *clusterSched) failRun(ci int, err error) {
 	s.errs[ci] = err
 	s.stop = true
 	s.failed.Store(true)
-	for wi := range s.hq {
-		s.hq[wi] = nil
-	}
-	s.overflow = nil
+	s.queue = nil
 }
 
 // triedHosts renders the hosts a cell was attempted on, in worker order,
@@ -873,16 +822,6 @@ func (s *clusterSched) triedHosts(ci int) string {
 		}
 	}
 	return strings.Join(tried, ", ")
-}
-
-// queuedTotal counts cells waiting for execution across the per-host
-// queues and the overflow list.
-func (s *clusterSched) queuedTotal() int {
-	n := len(s.overflow)
-	for _, q := range s.hq {
-		n += len(q)
-	}
-	return n
 }
 
 // anyHealthy reports whether any worker is in the healthy phase.
@@ -907,243 +846,72 @@ func (s *clusterSched) remoteEligible(ci int) bool {
 	return false
 }
 
-// place routes one cell: onto the queue of the host with the lowest
-// expected finish when a healthy untried host exists, into overflow when
-// every untried host is in probation (a probe outcome will resolve it)
-// or the cell waits for the degrade-local executor, and into failRun —
-// with the exhaustion error naming every host tried — when no untried
-// non-evicted host remains and local degradation is off.
-func (s *clusterSched) place(ci int) {
+// assign places queued cells, earliest first. A cell goes to an idle
+// healthy worker that has not attempted it; it stays queued while its
+// untried hosts are busy or in probation (a result, probe outcome or
+// join re-runs assign); and once no untried non-evicted host remains it
+// fails the run with an error naming every host tried. With -degrade
+// local, a cell no remote can serve — every host down or probing, or its
+// untried hosts exhausted — runs on the coordinator instead, one at a
+// time.
+func (s *clusterSched) assign() {
 	if s.stop {
 		return
 	}
-	if !s.remoteEligible(ci) {
-		if s.rc.Config.Degrade == "local" {
-			s.overflow = append(s.overflow, ci)
-			return
-		}
-		c := s.cells[ci]
-		err := fmt.Errorf("cluster: cell %s/%s [%s]: no reachable host left of %s (tried %s): %w",
-			c.workload.Suite(), c.workload.Name(), c.buildType,
-			strings.Join(s.rc.Config.Hosts, ", "), s.triedHosts(ci), remote.ErrUnreachable)
-		s.failRun(ci, err)
-		return
-	}
-	wi := s.pickHost(ci)
-	if wi < 0 {
-		s.overflow = append(s.overflow, ci)
-		return
-	}
-	s.hq[wi] = append(s.hq[wi], ci)
-}
-
-// pickHost chooses the healthy untried host with the lowest expected
-// finish time for a cell: per-cell cost (duration EWMA + probe RTT EWMA,
-// falling back to the fleet mean and then a neutral constant when a host
-// has no history) times the host's backlog depth. Strict less-than keeps
-// the lowest worker index on ties, so a fresh fleet places round-robin-
-// like and deterministically. With -no-load-aware it degrades to plain
-// round-robin over healthy untried hosts. Returns -1 when no healthy
-// untried host exists.
-func (s *clusterSched) pickHost(ci int) int {
-	if s.rc.Config.NoLoadAware {
-		n := len(s.workers)
-		for k := 0; k < n; k++ {
-			wi := (s.rrNext + k) % n
-			if s.state[wi].phase == hostHealthy && !s.attempted[ci][s.workers[wi].host.Name()] {
-				s.rrNext = (wi + 1) % n
-				return wi
+	degradeLocal := s.rc.Config.Degrade == "local"
+	healthy := s.anyHealthy()
+	for qi := 0; qi < len(s.queue); {
+		ci := s.queue[qi]
+		eligible := s.remoteEligible(ci)
+		if degradeLocal && (!healthy || !eligible) {
+			if s.localBusy {
+				qi++
+				continue
 			}
-		}
-		return -1
-	}
-	fallback := s.ewmaFallback()
-	best := -1
-	var bestScore time.Duration
-	for wi := range s.workers {
-		if s.state[wi].phase != hostHealthy || s.attempted[ci][s.workers[wi].host.Name()] {
+			s.queue = append(s.queue[:qi], s.queue[qi+1:]...)
+			s.launchLocal(ci)
 			continue
 		}
-		sc := s.hostScore(wi, fallback)
-		if best < 0 || sc < bestScore {
-			best, bestScore = wi, sc
+		if !eligible {
+			c := s.cells[ci]
+			s.failRun(ci, fmt.Errorf("cluster: cell %s/%s [%s]: no reachable host left of %s (tried %s): %w",
+				c.workload.Suite(), c.workload.Name(), c.buildType,
+				strings.Join(s.rc.Config.Hosts, ", "), s.triedHosts(ci), remote.ErrUnreachable))
+			return
 		}
-	}
-	return best
-}
-
-// hostScore is a host's expected finish time for one more cell: its
-// per-cell cost EWMA times the number of cells ahead of the new one
-// (queued + in flight + itself).
-func (s *clusterSched) hostScore(wi int, fallback time.Duration) time.Duration {
-	ls := s.load.Sample(s.workers[wi].host.Name())
-	per := ls.CellEWMA + ls.RTTEWMA
-	if per <= 0 {
-		per = fallback
-	}
-	depth := len(s.hq[wi]) + 1
-	if s.busy[wi] {
-		depth++
-	}
-	return per * time.Duration(depth)
-}
-
-// ewmaFallback scores hosts with no history yet: the fleet-mean per-cell
-// cost, or a neutral constant when nothing has completed anywhere (which
-// reduces scoring to least-loaded placement).
-func (s *clusterSched) ewmaFallback() time.Duration {
-	var sum time.Duration
-	n := 0
-	for _, w := range s.workers {
-		ls := s.load.Sample(w.host.Name())
-		if per := ls.CellEWMA + ls.RTTEWMA; per > 0 {
-			sum += per
-			n++
-		}
-	}
-	if n == 0 {
-		return time.Millisecond
-	}
-	return sum / time.Duration(n)
-}
-
-// dispatch is the work-conserving engine: it loops until no idle worker
-// can start anything. Each pass lets idle healthy workers drain their own
-// queue heads, then steal from the most backlogged host, then hands one
-// overflow cell to the degrade-local executor. Unhealthy entries are
-// swept out of the idle pool as they are encountered.
-func (s *clusterSched) dispatch() {
-	if s.stop {
-		return
-	}
-	for {
-		progress := false
-		// Own queues first: a worker with a backlog never steals.
-		for ii := 0; ii < len(s.idle); {
-			wi := s.idle[ii]
-			if s.state[wi].phase != hostHealthy {
-				s.idle = append(s.idle[:ii], s.idle[ii+1:]...)
-				continue
-			}
-			if len(s.hq[wi]) == 0 {
-				ii++
-				continue
-			}
-			ci := s.hq[wi][0]
-			s.hq[wi] = s.hq[wi][1:]
-			s.idle = append(s.idle[:ii], s.idle[ii+1:]...)
+		if wi := s.takeIdle(ci); wi >= 0 {
+			s.queue = append(s.queue[:qi], s.queue[qi+1:]...)
 			s.launch(wi, ci, false)
-			progress = true
-		}
-		// Steal pass: every queued cell left is behind a busy host.
-		if !s.rc.Config.NoSteal {
-			for ii := 0; ii < len(s.idle); {
-				wi := s.idle[ii]
-				if s.state[wi].phase != hostHealthy {
-					s.idle = append(s.idle[:ii], s.idle[ii+1:]...)
-					continue
-				}
-				ci, victim, ok := s.steal(wi)
-				if !ok {
-					ii++
-					continue
-				}
-				s.idle = append(s.idle[:ii], s.idle[ii+1:]...)
-				s.state[wi].stats.Steals++
-				c := s.cells[ci]
-				s.vrc.logf("cluster: host %s stole %s/%s [%s] from %s",
-					s.workers[wi].host.Name(), c.workload.Suite(), c.workload.Name(),
-					c.buildType, s.workers[victim].host.Name())
-				s.launch(wi, ci, false)
-				progress = true
-			}
-		}
-		// Degrade-local: the coordinator takes one overflow cell at a
-		// time, but only cells no remote can serve (all hosts down, or
-		// the cell exhausted its untried hosts).
-		if s.rc.Config.Degrade == "local" && !s.localBusy {
-			healthy := s.anyHealthy()
-			for oi, ci := range s.overflow {
-				if !healthy || !s.remoteEligible(ci) {
-					s.overflow = append(s.overflow[:oi], s.overflow[oi+1:]...)
-					s.launchLocal(ci)
-					progress = true
-					break
-				}
-			}
-		}
-		if !progress {
-			return
-		}
-	}
-}
-
-// steal picks the cell an idle worker should take from another host's
-// backlog: the tail of the deepest queue holding a cell the thief has
-// not attempted (the tail is the cell that would otherwise wait
-// longest). Ascending victim scan with strict depth comparison keeps the
-// choice deterministic. Reports ok=false when nothing is stealable.
-func (s *clusterSched) steal(wi int) (ci, victim int, ok bool) {
-	name := s.workers[wi].host.Name()
-	bestV, bestDepth, bestIdx := -1, 0, -1
-	for v := range s.workers {
-		if v == wi || len(s.hq[v]) <= bestDepth {
 			continue
 		}
-		for k := len(s.hq[v]) - 1; k >= 0; k-- {
-			if !s.attempted[s.hq[v][k]][name] {
-				bestV, bestDepth, bestIdx = v, len(s.hq[v]), k
-				break
-			}
-		}
-	}
-	if bestV < 0 {
-		return 0, 0, false
-	}
-	ci = s.hq[bestV][bestIdx]
-	s.hq[bestV] = append(s.hq[bestV][:bestIdx], s.hq[bestV][bestIdx+1:]...)
-	return ci, bestV, true
-}
-
-// drainQueue empties a faulted host's queue, re-placing each cell. The
-// drained cells never launched on the host, so nothing is logged for
-// them and their attempted sets are untouched.
-func (s *clusterSched) drainQueue(wi int) {
-	q := s.hq[wi]
-	s.hq[wi] = nil
-	for _, ci := range q {
-		if s.stop {
-			return
-		}
-		s.place(ci)
+		qi++
 	}
 }
 
-// replaceOverflow re-routes every overflow cell after a topology change
-// (probe recovery, eviction, mid-run join): each either lands on a host
-// queue, fails the run on exhaustion, or returns to overflow to keep
-// waiting.
-func (s *clusterSched) replaceOverflow() {
-	of := s.overflow
-	s.overflow = nil
-	for _, ci := range of {
-		if s.stop {
-			return
+// takeIdle removes and returns the first idle healthy worker that has
+// not attempted the cell, or -1 when there is none.
+func (s *clusterSched) takeIdle(ci int) int {
+	for ii, wi := range s.idle {
+		if s.state[wi].phase == hostHealthy && !s.attempted[ci][s.workers[wi].host.Name()] {
+			s.idle = append(s.idle[:ii], s.idle[ii+1:]...)
+			return wi
 		}
-		s.place(ci)
 	}
+	return -1
 }
 
 // maybeSpeculate runs the straggler detector: with the queue drained,
 // spare idle workers, and enough completed cells for a meaningful
 // median, a cell whose only placement has run longer than
 // max(specFactor×median, specMinElapsed) is duplicated onto an idle
-// untried host — first result wins, loser cancelled. When no straggler
-// is due yet, a timer on the scheduler clock re-arms the check at the
+// untried host — first result wins, loser cancelled. Stragglers are
+// scanned in canonical cell order, so when idle workers are scarce the
+// earliest cell gets the duplicate on every run. When no straggler is
+// due yet, a timer on the scheduler clock re-arms the check at the
 // earliest future threshold crossing.
 func (s *clusterSched) maybeSpeculate() {
 	s.stopSpecTimer()
-	if s.stop || s.rc.Config.NoSpeculate || s.queuedTotal() > 0 ||
+	if s.stop || s.rc.Config.NoSpeculate || len(s.queue) > 0 ||
 		len(s.durations) < specMinSamples {
 		return
 	}
@@ -1156,7 +924,13 @@ func (s *clusterSched) maybeSpeculate() {
 	now := s.clk.Now()
 	var earliest time.Time
 	pendingWake := false
-	for ci, pls := range s.placements {
+	running := make([]int, 0, len(s.placements))
+	for ci := range s.placements {
+		running = append(running, ci)
+	}
+	sort.Ints(running)
+	for _, ci := range running {
+		pls := s.placements[ci]
 		if s.p.shards[ci] != nil || len(pls) != 1 {
 			continue // settled, or already speculated
 		}
@@ -1172,16 +946,12 @@ func (s *clusterSched) maybeSpeculate() {
 			}
 			continue
 		}
-		for ii, wi := range s.idle {
-			if s.state[wi].phase == hostHealthy && !s.attempted[ci][s.workers[wi].host.Name()] {
-				s.idle = append(s.idle[:ii], s.idle[ii+1:]...)
-				c := s.cells[ci]
-				s.vrc.logf("cluster: speculating %s/%s [%s] on %s (straggling on %s)",
-					c.workload.Suite(), c.workload.Name(), c.buildType,
-					s.workers[wi].host.Name(), s.workers[pl.worker].host.Name())
-				s.launch(wi, ci, true)
-				break
-			}
+		if wi := s.takeIdle(ci); wi >= 0 {
+			c := s.cells[ci]
+			s.vrc.logf("cluster: speculating %s/%s [%s] on %s (straggling on %s)",
+				c.workload.Suite(), c.workload.Name(), c.buildType,
+				s.workers[wi].host.Name(), s.workers[pl.worker].host.Name())
+			s.launch(wi, ci, true)
 		}
 	}
 	// Re-arm whenever a future crossing exists, even with the idle pool
@@ -1229,12 +999,9 @@ func medianDuration(durs []time.Duration) time.Duration {
 // -v summary, in worker order, with the degrade-local pseudo-host last.
 func (s *clusterSched) hostSnapshot() []HostStatus {
 	out := make([]HostStatus, 0, len(s.state)+1)
-	for i, st := range s.state {
+	for _, st := range s.state {
 		hs := st.stats
 		hs.State = phaseNames[st.phase]
-		hs.Queued = len(s.hq[i])
-		ls := s.load.Sample(s.workers[i].host.Name())
-		hs.LoadEWMAMillis = float64(ls.CellEWMA+ls.RTTEWMA) / float64(time.Millisecond)
 		out = append(out, hs)
 	}
 	if s.localStats != nil {
@@ -1255,7 +1022,7 @@ func (s *clusterSched) emitHosts() {
 // logSummary writes the end-of-run per-host summary to the -v stream.
 func (s *clusterSched) logSummary() {
 	for _, hs := range s.hostSnapshot() {
-		s.vrc.logf("== cluster: host %s: %s, %d cells, %d failovers, %d probes, %d spec wins, %d spec losses, %d steals",
-			hs.Host, hs.State, hs.Cells, hs.Failovers, hs.Probes, hs.SpecWins, hs.SpecLosses, hs.Steals)
+		s.vrc.logf("== cluster: host %s: %s, %d cells, %d failovers, %d probes, %d spec wins, %d spec losses",
+			hs.Host, hs.State, hs.Cells, hs.Failovers, hs.Probes, hs.SpecWins, hs.SpecLosses)
 	}
 }

@@ -109,9 +109,10 @@ func compareToSerial(t *testing.T, fx *Fex, report *RunReport, wantLog, wantCSV,
 // faultSchedules are the per-host fault injections the builtin-experiment
 // determinism matrix is re-run under: a flapping host (a bounded outage
 // that recovers via probation), a slow host with speculation racing its
-// placements, the same slow host under the -no-speculate ablation, and a
-// hung host bounded by the per-cell deadline. Under every schedule the
-// stored log and CSV must stay byte-identical to the serial run.
+// placements, the same slow host under the -no-speculate ablation, a
+// hung host bounded by the per-cell deadline, a host-wide latency skew,
+// and a slow majority of hosts. Under every schedule the stored log and
+// CSV must stay byte-identical to the serial run.
 var faultSchedules = []struct {
 	name   string
 	set    func(*Config)
@@ -165,9 +166,8 @@ var faultSchedules = []struct {
 	},
 	{
 		// Host-wide transport latency skew: w1 is chronically slow on
-		// every operation. Load-aware placement routes most cells away
-		// from it and work-stealing drains whatever queued behind it —
-		// placement changes, bytes must not.
+		// every operation, so the other hosts pull most cells from the
+		// shared queue — placement changes, bytes must not.
 		name: "load_skew",
 		set:  func(c *Config) {},
 		inject: func(t *testing.T, cluster *remote.Cluster) {
@@ -179,11 +179,10 @@ var faultSchedules = []struct {
 		},
 	},
 	{
-		// Steal-heavy: two of three hosts are slow on cell execution, so
-		// the fast host repeatedly empties its own queue and steals the
-		// deepest backlogs. -no-speculate isolates stealing from the
-		// straggler detector.
-		name: "steal_heavy",
+		// Slow majority: two of three hosts are slow on cell execution,
+		// so the one fast host pulls most of the queue. -no-speculate
+		// isolates placement from the straggler detector.
+		name: "slow_majority",
 		set:  func(c *Config) { c.NoSpeculate = true },
 		inject: func(t *testing.T, cluster *remote.Cluster) {
 			for _, name := range []string{"w1", "w2"} {
@@ -193,20 +192,6 @@ var faultSchedules = []struct {
 				}
 				h.SetCommandLatency(cmdRunCell, 10*time.Millisecond)
 			}
-		},
-	},
-	{
-		// The same skew under both ablations: round-robin placement, no
-		// stealing. The slow host absorbs its full share; byte identity
-		// must survive the worst placement too.
-		name: "load_skew_ablation",
-		set:  func(c *Config) { c.NoLoadAware = true; c.NoSteal = true },
-		inject: func(t *testing.T, cluster *remote.Cluster) {
-			h, err := cluster.Host("w1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			h.SetLatency(3 * time.Millisecond)
 		},
 	},
 }
@@ -702,8 +687,6 @@ func TestClusterChaosSeededFaults(t *testing.T) {
 		registerSchedExperiment(t, fx, "cluster_chaos", deterministicHooks(0))
 		rcfg := cfg
 		rcfg.NoSpeculate = rng.Intn(2) == 0
-		rcfg.NoSteal = rng.Intn(2) == 0
-		rcfg.NoLoadAware = rng.Intn(2) == 0
 		// Hung hosts need the deadline to fail over; keep it generous so a
 		// loaded machine never times out a legitimately-running cell.
 		rcfg.HostTimeout = 500 * time.Millisecond
@@ -731,8 +714,8 @@ func TestClusterChaosSeededFaults(t *testing.T) {
 				plan = append(plan, name+":hang")
 			case 4:
 				// Host-wide load skew: every operation is slow, but well
-				// under the deadline, so the host never faults — the
-				// load-aware placer and stealer shoulder the imbalance.
+				// under the deadline, so the host never faults — the other
+				// hosts simply pull more of the shared queue.
 				d := time.Duration(1+rng.Intn(5)) * time.Millisecond
 				h.SetLatency(d)
 				plan = append(plan, fmt.Sprintf("%s:load_skew(%v)", name, d))

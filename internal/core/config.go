@@ -81,17 +81,6 @@ type Config struct {
 	// wins, loser cancelled; losing shards are discarded before the
 	// merge, so byte-identity is unaffected either way.
 	NoSpeculate bool
-	// NoSteal disables cluster work-stealing (-no-steal), the ablation
-	// baseline. By default an idle worker with an empty queue takes the
-	// deepest queued-behind-busy cell from the most backlogged host;
-	// stealing changes placement only, never merge order, so stored logs
-	// stay byte-identical.
-	NoSteal bool
-	// NoLoadAware disables latency-weighted cluster placement
-	// (-no-load-aware), the ablation baseline: cells are placed
-	// round-robin over healthy untried hosts instead of by expected
-	// finish time (per-cell duration EWMA × backlog depth).
-	NoLoadAware bool
 	// Degrade selects the coordinator's behaviour when every cluster
 	// host is down or probing (-degrade): "" fails the run (classic
 	// semantics), "local" executes queued cells on the coordinator
@@ -281,12 +270,6 @@ func (c Config) String() string {
 	}
 	if c.NoSpeculate {
 		sb.WriteString(" -no-speculate")
-	}
-	if c.NoSteal {
-		sb.WriteString(" -no-steal")
-	}
-	if c.NoLoadAware {
-		sb.WriteString(" -no-load-aware")
 	}
 	if c.Degrade != "" {
 		sb.WriteString(" -degrade " + c.Degrade)

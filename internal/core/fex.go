@@ -525,15 +525,10 @@ type HostStatus struct {
 	// that finished first elsewhere.
 	SpecWins   int `json:"spec_wins"`
 	SpecLosses int `json:"spec_losses"`
-	// Steals counts cells this host took from another host's backlog.
+	// Steals always reads 0: hosts pull cells from one shared queue, so
+	// there is no per-host backlog to steal from. The field stays because
+	// the benchmark (fexbench/layers.go, a separate module) reads it.
 	Steals int `json:"steals"`
-	// Queued is the host's current backlog depth (cells routed to it but
-	// not yet launched).
-	Queued int `json:"queued"`
-	// LoadEWMAMillis is the host's per-cell cost estimate — the moving
-	// average of its recent cell durations plus probe round-trips — in
-	// milliseconds; 0 until the host completes its first cell.
-	LoadEWMAMillis float64 `json:"load_ewma_ms"`
 }
 
 // RunHooks bundles the cross-cutting, per-invocation concerns of one Run:

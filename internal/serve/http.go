@@ -14,7 +14,10 @@ import (
 )
 
 // RunSpec is the submission body of POST /api/v1/runs — the JSON surface
-// of core.Config's command-line flags.
+// of core.Config's command-line flags. Unknown fields are rejected with
+// 400 Bad Request; that includes the retired cluster placement knobs
+// no_steal and no_load_aware, since the cluster tier now has a single
+// shared pull queue with nothing to toggle.
 type RunSpec struct {
 	Experiment string   `json:"experiment"`
 	BuildTypes []string `json:"build_types,omitempty"`
@@ -30,11 +33,6 @@ type RunSpec struct {
 	HostTimeoutMS int `json:"host_timeout_ms,omitempty"`
 	// NoSpeculate disables speculative straggler re-execution.
 	NoSpeculate bool `json:"no_speculate,omitempty"`
-	// NoSteal disables work-stealing by idle cluster workers.
-	NoSteal bool `json:"no_steal,omitempty"`
-	// NoLoadAware disables latency-weighted placement (falls back to
-	// round-robin).
-	NoLoadAware bool `json:"no_load_aware,omitempty"`
 	// Degrade selects the no-healthy-host policy: "" fails the run,
 	// "local" executes queued cells on the coordinator.
 	Degrade   string `json:"degrade,omitempty"`
@@ -61,8 +59,6 @@ func (spec RunSpec) config(fx *core.Fex) (core.Config, error) {
 		Hosts:       spec.Hosts,
 		HostTimeout: time.Duration(spec.HostTimeoutMS) * time.Millisecond,
 		NoSpeculate: spec.NoSpeculate,
-		NoSteal:     spec.NoSteal,
-		NoLoadAware: spec.NoLoadAware,
 		Degrade:     spec.Degrade,
 		Debug:       spec.Debug,
 		Verbose:     spec.Verbose,

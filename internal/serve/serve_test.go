@@ -465,6 +465,9 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		"unknown field":      `{"experiment": "splash", "nope": 1}`,
 		"missing experiment": `{}`,
 		"unknown experiment": `{"experiment": "no_such_thing"}`,
+		// The retired cluster placement knobs are unknown fields now.
+		"removed no_steal":      `{"experiment": "splash", "no_steal": true}`,
+		"removed no_load_aware": `{"experiment": "splash", "no_load_aware": true}`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -555,10 +558,8 @@ func TestServeClusterRunReportsHostCounters(t *testing.T) {
 	spec.Hosts = []string{"w1", "w2"}
 	spec.HostTimeoutMS = 60000
 	spec.NoSpeculate = true
-	spec.NoSteal = true
-	spec.NoLoadAware = true
 	st := postRun(t, ts, spec)
-	for _, want := range []string{"-hosts w1,w2", "-host-timeout 1m0s", "-no-speculate", "-no-steal", "-no-load-aware"} {
+	for _, want := range []string{"-hosts w1,w2", "-host-timeout 1m0s", "-no-speculate"} {
 		if !strings.Contains(st.Config, want) {
 			t.Errorf("config %q does not render %q", st.Config, want)
 		}
@@ -585,17 +586,15 @@ func TestServeClusterRunReportsHostCounters(t *testing.T) {
 		t.Errorf("hosts completed %d cells in total, want 2", cells)
 	}
 
-	// The load-scheduling counters are part of the JSON surface: every
-	// host snapshot carries steals, backlog depth, and the cost EWMA.
+	// "steals" stays in the JSON surface for existing readers, and reads
+	// 0: hosts pull from one shared queue, so nothing is ever stolen.
 	body := string(getBody(t, ts, "/api/v1/runs/"+st.ID, http.StatusOK))
-	for _, key := range []string{`"steals"`, `"queued"`, `"load_ewma_ms"`} {
-		if !strings.Contains(body, key) {
-			t.Errorf("run status JSON missing host field %s:\n%s", key, body)
-		}
+	if !strings.Contains(body, `"steals"`) {
+		t.Errorf("run status JSON missing host field \"steals\":\n%s", body)
 	}
 	for _, h := range final.Hosts {
-		if h.Queued != 0 {
-			t.Errorf("host %s finished the run with %d queued cells", h.Host, h.Queued)
+		if h.Steals != 0 {
+			t.Errorf("host %s reports %d steals, want 0", h.Host, h.Steals)
 		}
 	}
 }
