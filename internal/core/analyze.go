@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -162,7 +163,7 @@ func (fx *Fex) Analyze(experiment, metric, typeA, typeB string) (*AnalysisReport
 	if err != nil {
 		return nil, fmt.Errorf("analyze %s: no run log (run the experiment first): %w", experiment, err)
 	}
-	lg, err := runlog.Parse(strings.NewReader(string(data)))
+	lg, err := runlog.Parse(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("analyze %s: %w", experiment, err)
 	}

@@ -391,6 +391,72 @@ func TestCollectRereadsStoredLog(t *testing.T) {
 	}
 }
 
+// TestRunCollectConsistency pins the single parse at the end of a run in
+// every tier, cold and warm: the report's measurement count is the stored
+// log's, its table is what a later Collect returns, and the latest and
+// run-scoped CSVs are the same bytes.
+func TestRunCollectConsistency(t *testing.T) {
+	tiers := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"serial", func(c *Config) { c.Jobs = 1 }},
+		{"jobs2", func(c *Config) { c.Jobs = 2 }},
+		{"cluster", func(c *Config) { c.Hosts = []string{"w1", "w2"} }},
+	}
+	for _, tier := range tiers {
+		t.Run(tier.name, func(t *testing.T) {
+			fx := newSchedFex(t)
+			installAll(t, fx, "gcc-6.1", "clang-3.8.0")
+			cfg := Config{
+				Experiment: "splash",
+				BuildTypes: []string{"gcc_native", "clang_native"},
+				Benchmarks: []string{"fft", "lu"},
+				Threads:    []int{1, 2},
+				Reps:       2,
+				Input:      workload.SizeTest,
+			}
+			tier.set(&cfg)
+			for _, resume := range []bool{false, true} {
+				cfg.Resume = resume
+				report, err := fx.Run(context.Background(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				logText, err := fx.ReadResult(report.LogPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lg, err := runlog.Parse(bytes.NewReader(logText))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if report.Measurements != len(lg.Measurements) || report.Measurements == 0 {
+					t.Errorf("resume=%v: report counts %d measurements, stored log has %d", resume, report.Measurements, len(lg.Measurements))
+				}
+				latest, err := fx.ReadResult(report.CSVPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scoped, err := fx.ReadResult(report.RunCSVPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(latest, scoped) || string(latest) != report.Table.CSVString() {
+					t.Errorf("resume=%v: latest and run-scoped CSVs differ:\n%s\n---\n%s", resume, latest, scoped)
+				}
+				again, err := fx.Collect(cfg.Experiment)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if again.CSVString() != report.Table.CSVString() {
+					t.Errorf("resume=%v: report table differs from Collect's", resume)
+				}
+			}
+		})
+	}
+}
+
 func TestPlotSplashPerf(t *testing.T) {
 	fx := newFex(t)
 	installAll(t, fx, "gcc-6.1", "clang-3.8.0")

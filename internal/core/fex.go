@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -622,7 +623,7 @@ func (fx *Fex) RunWithHooks(ctx context.Context, cfg Config, hooks RunHooks) (*R
 		return nil, err
 	}
 
-	var logBuf strings.Builder
+	var logBuf bytes.Buffer
 	var logOut io.Writer = &logBuf
 	if hooks.LogSink != nil {
 		logOut = io.MultiWriter(&logBuf, hooks.LogSink)
@@ -675,7 +676,7 @@ func (fx *Fex) RunWithHooks(ctx context.Context, cfg Config, hooks RunHooks) (*R
 	if err := lw.Flush(); err != nil {
 		return nil, fmt.Errorf("flush log: %w", err)
 	}
-	logText := []byte(logBuf.String())
+	logText := logBuf.Bytes()
 	// The run-scoped artifact is the durable, collision-free copy; the
 	// legacy per-experiment path stays the "latest run" view existing
 	// tooling and goldens read.
@@ -686,17 +687,18 @@ func (fx *Fex) RunWithHooks(ctx context.Context, cfg Config, hooks RunHooks) (*R
 		return nil, fmt.Errorf("store log: %w", err)
 	}
 
-	// Collect immediately, as the all-in-one run command does.
-	tbl, err := fx.Collect(cfg.Experiment)
+	// Collect immediately, as the all-in-one run command does: the one
+	// parse of the run's log feeds the table and the measurement count.
+	lg, err := runlog.Parse(bytes.NewReader(logText))
+	if err != nil {
+		return nil, fmt.Errorf("collect %s: %w", cfg.Experiment, err)
+	}
+	tbl, csv, err := fx.collectLog(exp, cfg.Experiment, lg)
 	if err != nil {
 		return nil, err
 	}
-	if err := fsys.WriteFile(runCSVPath(runID, cfg.Experiment), []byte(tbl.CSVString()), 0o644); err != nil {
+	if err := fsys.WriteFile(runCSVPath(runID, cfg.Experiment), csv, 0o644); err != nil {
 		return nil, fmt.Errorf("store run csv: %w", err)
-	}
-	lg, err := runlog.Parse(strings.NewReader(logBuf.String()))
-	if err != nil {
-		return nil, err
 	}
 	return &RunReport{
 		Experiment:   cfg.Experiment,
@@ -750,22 +752,36 @@ func (fx *Fex) Collect(experiment string) (*table.Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("collect %s: no run log (run the experiment first): %w", experiment, err)
 	}
-	lg, err := runlog.Parse(strings.NewReader(string(data)))
+	lg, err := runlog.Parse(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("collect %s: %w", experiment, err)
 	}
+	tbl, _, err := fx.collectLog(exp, experiment, lg)
+	return tbl, err
+}
+
+// collectLog runs the experiment's collect stage over a parsed log and
+// stores the rendered CSV as the experiment's latest; it returns the table
+// and the CSV bytes, so a run writes its run-scoped copy without
+// rendering again.
+func (fx *Fex) collectLog(exp *Experiment, experiment string, lg *runlog.Log) (*table.Table, []byte, error) {
 	collect := exp.Collect
 	if collect == nil {
 		collect = GenericCollect
 	}
 	tbl, err := collect(lg)
 	if err != nil {
-		return nil, fmt.Errorf("collect %s: %w", experiment, err)
+		return nil, nil, fmt.Errorf("collect %s: %w", experiment, err)
 	}
-	if err := fsys.WriteFile(csvPath(experiment), []byte(tbl.CSVString()), 0o644); err != nil {
-		return nil, fmt.Errorf("store csv %s: %w", experiment, err)
+	csv := tbl.AppendCSV(nil)
+	fsys, err := fx.ctr.FS()
+	if err != nil {
+		return nil, nil, err
 	}
-	return tbl, nil
+	if err := fsys.WriteFile(csvPath(experiment), csv, 0o644); err != nil {
+		return nil, nil, fmt.Errorf("store csv %s: %w", experiment, err)
+	}
+	return tbl, csv, nil
 }
 
 // Plot renders one of the experiment's plots from its collected CSV and

@@ -62,6 +62,17 @@ func NewMetricVector() *MetricVector {
 	return &MetricVector{}
 }
 
+// NewMetricVectorCap returns an empty, unpooled vector with room for n
+// metrics; n ≤ 0 gives the same empty vector as NewMetricVector. The log
+// parser sizes each record's vector from its field count, so building it
+// takes one allocation per backing slice.
+func NewMetricVectorCap(n int) *MetricVector {
+	if n <= 0 {
+		return &MetricVector{}
+	}
+	return &MetricVector{names: make([]string, 0, n), values: make([]float64, 0, n)}
+}
+
 // FromMap builds a vector from a name→value map — a convenience for
 // tests and custom hooks; the measurement hot path uses Acquire + Set.
 func FromMap(m map[string]float64) *MetricVector {
@@ -105,6 +116,13 @@ func (v *MetricVector) search(name string) (int, bool) {
 // (≤ ~10 names), so the shift is cheaper than any map or re-sort, and it
 // allocates nothing once the backing arrays have grown to capacity.
 func (v *MetricVector) Set(name string, value float64) {
+	// Names often arrive already sorted (a parsed log record lists them
+	// so): appending after the last name needs no search.
+	if n := len(v.names); n == 0 || v.names[n-1] < name {
+		v.names = append(v.names, name)
+		v.values = append(v.values, value)
+		return
+	}
 	i, ok := v.search(name)
 	if ok {
 		v.values[i] = value

@@ -84,3 +84,39 @@ func FuzzParseRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzValidateMatchesParse proves the allocation-free validator is the
+// same judge as the parser: on any input, ValidateText and Parse agree on
+// whether it is a well-formed log and fail with the same error text.
+func FuzzValidateMatchesParse(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"\n\nRUN|bench=a|type=b\n\n\nNOTE|x\n", // blank lines
+		"RUN|bench=a|type=b|cycles=1\r\r\nNOTE|n\r\r\n", // \r\r line endings
+		"RUN|bench=a|type=b\r\r\nBOGUS\r\n",             // error after \r\r line
+		"NOTE|first\nRUN|bench=a|type=b|cycles=2",       // no final newline
+		"RUN\n",                                // RUN without '|'
+		"HDR\n",                                // HDR without '|'
+		"ENV\n",                                // ENV without '|'
+		"ENV|\nNOTE\nRUN|\n",                   // empty payloads
+		"RUN|bench=a||type=b\n",                // empty field
+		"RUN|bench=a|type=b|cycles=1.2.3\n",    // bad float
+		"RUN|bench=a|type=b|rep=x\n",           // bad rep
+		"HDR|types=a,b|threads=1,2|reps=3\n",   // header without experiment
+		"HDR|experiment=e|threads=1,,2\n",      // bad thread count
+		"HDR|experiment=e|started=yesterday\n", // bad start time
+		"HDR|experiment=x|experiment=\n",       // name cleared by a later field
+		"RUN|bench=a|type=b|bench=\n",          // bench cleared by a later field
+		"HDR|experiment=e|types=gcc|benchmarks=fft|threads=1|reps=2|input=test|started=2017-06-26T12:00:00Z\n" +
+			"ENV|LC_ALL=C|x\nRUN|suite=s|bench=fft|type=gcc|threads=1|rep=0|wall_ns=9\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		verr := ValidateText(input)
+		_, perr := Parse(strings.NewReader(input))
+		if (verr == nil) != (perr == nil) || (verr != nil && verr.Error() != perr.Error()) {
+			t.Fatalf("ValidateText and Parse disagree on %q:\nvalidate: %v\nparse:    %v", input, verr, perr)
+		}
+	})
+}

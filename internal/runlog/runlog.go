@@ -276,13 +276,29 @@ func (lw *Writer) Append(shards ...*Shard) error {
 	return nil
 }
 
+// maxLine is the longest record line Parse accepts (the bufio.Scanner
+// buffer cap): a line of maxLine bytes or more, '\r's included and the
+// '\n' excluded, fails with bufio.ErrTooLong.
+const maxLine = 4 * 1024 * 1024
+
 // ValidateText checks that text parses as well-formed log records — the
 // guard the result store applies before replaying a persisted cell shard
 // into a live log, so a corrupted store entry is re-measured instead of
-// poisoning the resumed log.
+// poisoning the resumed log. It accepts and rejects exactly what Parse
+// does, with the same error text, but builds no records: on a RUN-only
+// shard it allocates nothing.
 func ValidateText(text string) error {
-	_, err := Parse(strings.NewReader(text))
-	return err
+	for lineNo := 1; text != ""; lineNo++ {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
+		if len(line) >= maxLine {
+			return fmt.Errorf("runlog: scan: %w", bufio.ErrTooLong)
+		}
+		if err := parseLine(line, lineNo, nil); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Log is a fully parsed experiment log.
@@ -297,37 +313,10 @@ type Log struct {
 func Parse(r io.Reader) (*Log, error) {
 	out := &Log{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimRight(sc.Text(), "\r\n")
-		if line == "" {
-			continue
-		}
-		parts := strings.Split(line, "|")
-		switch parts[0] {
-		case kindHeader:
-			h, err := parseHeader(parts[1:])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo, err)
-			}
-			out.Header = h
-		case kindEnv:
-			if len(parts) < 2 {
-				return nil, fmt.Errorf("line %d: %w: ENV without payload", lineNo, ErrBadRecord)
-			}
-			out.Environment = append(out.Environment, strings.Join(parts[1:], "|"))
-		case kindMeasure:
-			m, err := parseMeasurement(parts[1:])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo, err)
-			}
-			out.Measurements = append(out.Measurements, m)
-		case kindNote:
-			out.Notes = append(out.Notes, Note{Text: strings.Join(parts[1:], "|")})
-		default:
-			return nil, fmt.Errorf("line %d: %w: unknown kind %q", lineNo, ErrBadRecord, parts[0])
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		if err := parseLine(sc.Text(), lineNo, out); err != nil {
+			return nil, err
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -336,101 +325,184 @@ func Parse(r io.Reader) (*Log, error) {
 	return out, nil
 }
 
-func kv(field string) (string, string, error) {
-	i := strings.IndexByte(field, '=')
-	if i < 0 {
-		return "", "", fmt.Errorf("%w: field %q has no '='", ErrBadRecord, field)
+// parseLine parses one log line (its '\n' already cut off) into out, or
+// only checks it when out is nil. Fields are walked with strings.Cut: a
+// record with no '|' after its kind has no fields, and "RUN|" has one
+// empty field.
+func parseLine(line string, lineNo int, out *Log) error {
+	line = strings.TrimRight(line, "\r\n")
+	if line == "" {
+		return nil
 	}
-	return field[:i], field[i+1:], nil
+	kind, fields, more := strings.Cut(line, "|")
+	switch kind {
+	case kindHeader:
+		var h *Header
+		if out != nil {
+			h = &out.Header
+			*h = Header{}
+		}
+		if err := parseHeader(fields, more, h); err != nil {
+			return fmt.Errorf("line %d: %w", lineNo, err)
+		}
+	case kindEnv:
+		if !more {
+			return fmt.Errorf("line %d: %w: ENV without payload", lineNo, ErrBadRecord)
+		}
+		if out != nil {
+			out.Environment = append(out.Environment, fields)
+		}
+	case kindMeasure:
+		var m *Measurement
+		if out != nil {
+			// Records the Writer renders carry five fixed fields; the
+			// rest are metrics.
+			m = &Measurement{Values: measure.NewMetricVectorCap(strings.Count(fields, "|") + 1 - 5)}
+		}
+		if err := parseMeasurement(fields, more, m); err != nil {
+			return fmt.Errorf("line %d: %w", lineNo, err)
+		}
+		if out != nil {
+			out.Measurements = append(out.Measurements, *m)
+		}
+	case kindNote:
+		if out != nil {
+			out.Notes = append(out.Notes, Note{Text: fields})
+		}
+	default:
+		return fmt.Errorf("line %d: %w: unknown kind %q", lineNo, ErrBadRecord, kind)
+	}
+	return nil
 }
 
-func parseHeader(fields []string) (Header, error) {
-	var h Header
-	for _, f := range fields {
+func kv(field string) (string, string, error) {
+	k, v, ok := strings.Cut(field, "=")
+	if !ok {
+		return "", "", fmt.Errorf("%w: field %q has no '='", ErrBadRecord, field)
+	}
+	return k, v, nil
+}
+
+// parseHeader parses a header's fields into h, or only checks them when h
+// is nil. more reports whether the record has any fields.
+func parseHeader(fields string, more bool, h *Header) error {
+	named := false
+	for more {
+		var f string
+		f, fields, more = strings.Cut(fields, "|")
 		k, v, err := kv(f)
 		if err != nil {
-			return h, err
+			return err
 		}
 		switch k {
 		case "experiment":
-			h.Experiment = v
+			named = v != ""
+			if h != nil {
+				h.Experiment = v
+			}
 		case "types":
-			if v != "" {
+			if h != nil && v != "" {
 				h.BuildTypes = strings.Split(v, ",")
 			}
 		case "benchmarks":
-			if v != "" {
+			if h != nil && v != "" {
 				h.Benchmarks = strings.Split(v, ",")
 			}
 		case "threads":
-			if v == "" {
-				continue
-			}
-			for _, s := range strings.Split(v, ",") {
+			for next := v != ""; next; {
+				var s string
+				s, v, next = strings.Cut(v, ",")
 				n, err := strconv.Atoi(s)
 				if err != nil {
-					return h, fmt.Errorf("%w: bad thread count %q", ErrBadRecord, s)
+					return fmt.Errorf("%w: bad thread count %q", ErrBadRecord, s)
 				}
-				h.Threads = append(h.Threads, n)
+				if h != nil {
+					h.Threads = append(h.Threads, n)
+				}
 			}
 		case "reps":
 			n, err := strconv.Atoi(v)
 			if err != nil {
-				return h, fmt.Errorf("%w: bad reps %q", ErrBadRecord, v)
+				return fmt.Errorf("%w: bad reps %q", ErrBadRecord, v)
 			}
-			h.Reps = n
+			if h != nil {
+				h.Reps = n
+			}
 		case "input":
-			h.Input = v
+			if h != nil {
+				h.Input = v
+			}
 		case "started":
 			t, err := time.Parse(time.RFC3339, v)
 			if err != nil {
-				return h, fmt.Errorf("%w: bad start time %q", ErrBadRecord, v)
+				return fmt.Errorf("%w: bad start time %q", ErrBadRecord, v)
 			}
-			h.StartedAt = t
+			if h != nil {
+				h.StartedAt = t
+			}
 		}
 	}
-	if h.Experiment == "" {
-		return h, fmt.Errorf("%w: header missing experiment name", ErrBadRecord)
+	if !named {
+		return fmt.Errorf("%w: header missing experiment name", ErrBadRecord)
 	}
-	return h, nil
+	return nil
 }
 
-func parseMeasurement(fields []string) (Measurement, error) {
-	m := Measurement{Values: measure.NewMetricVector()}
-	for _, f := range fields {
+// parseMeasurement parses a RUN record's fields into m, whose Values the
+// caller has set, or only checks them when m is nil. more reports whether
+// the record has any fields.
+func parseMeasurement(fields string, more bool, m *Measurement) error {
+	bench, typ := false, false
+	for more {
+		var f string
+		f, fields, more = strings.Cut(fields, "|")
 		k, v, err := kv(f)
 		if err != nil {
-			return m, err
+			return err
 		}
 		switch k {
 		case "suite":
-			m.Suite = v
+			if m != nil {
+				m.Suite = v
+			}
 		case "bench":
-			m.Benchmark = v
+			bench = v != ""
+			if m != nil {
+				m.Benchmark = v
+			}
 		case "type":
-			m.BuildType = v
+			typ = v != ""
+			if m != nil {
+				m.BuildType = v
+			}
 		case "threads":
 			n, err := strconv.Atoi(v)
 			if err != nil {
-				return m, fmt.Errorf("%w: bad threads %q", ErrBadRecord, v)
+				return fmt.Errorf("%w: bad threads %q", ErrBadRecord, v)
 			}
-			m.Threads = n
+			if m != nil {
+				m.Threads = n
+			}
 		case "rep":
 			n, err := strconv.Atoi(v)
 			if err != nil {
-				return m, fmt.Errorf("%w: bad rep %q", ErrBadRecord, v)
+				return fmt.Errorf("%w: bad rep %q", ErrBadRecord, v)
 			}
-			m.Rep = n
+			if m != nil {
+				m.Rep = n
+			}
 		default:
 			x, err := strconv.ParseFloat(v, 64)
 			if err != nil {
-				return m, fmt.Errorf("%w: bad metric %s=%q", ErrBadRecord, k, v)
+				return fmt.Errorf("%w: bad metric %s=%q", ErrBadRecord, k, v)
 			}
-			m.Values.Set(k, x)
+			if m != nil {
+				m.Values.Set(k, x)
+			}
 		}
 	}
-	if m.Benchmark == "" || m.BuildType == "" {
-		return m, fmt.Errorf("%w: measurement missing bench/type", ErrBadRecord)
+	if !bench || !typ {
+		return fmt.Errorf("%w: measurement missing bench/type", ErrBadRecord)
 	}
-	return m, nil
+	return nil
 }

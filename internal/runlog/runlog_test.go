@@ -1,6 +1,7 @@
 package runlog
 
 import (
+	"bufio"
 	"errors"
 	"strings"
 	"sync"
@@ -345,6 +346,26 @@ func TestValidateText(t *testing.T) {
 	} {
 		if err := ValidateText(bad); err == nil {
 			t.Errorf("ValidateText(%q) accepted corrupt text", bad)
+		}
+	}
+}
+
+// TestValidateTextLineCap pins the validator to bufio.Scanner's ErrTooLong
+// boundary: lines one byte under, at and over the Parse buffer cap, with
+// and without a trailing newline, after a valid first line.
+func TestValidateTextLineCap(t *testing.T) {
+	for _, n := range []int{maxLine - 1, maxLine, maxLine + 1} {
+		for _, nl := range []string{"", "\n"} {
+			line := "NOTE|" + strings.Repeat("x", n-len("NOTE|"))
+			text := "NOTE|first\n" + line + nl
+			verr := ValidateText(text)
+			_, perr := Parse(strings.NewReader(text))
+			if (verr == nil) != (perr == nil) || (verr != nil && verr.Error() != perr.Error()) {
+				t.Fatalf("len %d, newline %q: validate %v, parse %v", n, nl, verr, perr)
+			}
+			if tooLong := n >= maxLine; errors.Is(verr, bufio.ErrTooLong) != tooLong {
+				t.Errorf("len %d, newline %q: ValidateText = %v, want ErrTooLong %v", n, nl, verr, tooLong)
+			}
 		}
 	}
 }

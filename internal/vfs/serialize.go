@@ -21,28 +21,25 @@ type snapshotEntry struct {
 // a repository version; it exists so CLI invocations can persist the
 // experiment container between runs (fex.py keeps its state in a checked
 // out working tree; we keep it in a state file).
+//
+// The tree is snapshotted under one read lock and encoded after it is
+// released. File entries share each node's bytes, capped at the length
+// they had at the snapshot: writers only ever replace a node's slice or
+// append past its end, so the shared prefix never changes under the
+// encoder.
 func (f *FS) Save(w io.Writer) error {
+	f.ops.Add(1)
+	f.mu.RLock()
 	var entries []snapshotEntry
-	err := f.Walk("/", func(st Stat) error {
-		e := snapshotEntry{
-			Path:    st.Path,
-			IsDir:   st.IsDir,
-			Mode:    st.Mode,
-			ModTime: st.ModTime,
-		}
-		if !st.IsDir {
-			data, err := f.ReadFile(st.Path)
-			if err != nil {
-				return err
-			}
-			e.Data = data
+	_ = walkNode("/", f.root, func(p string, c *node) error {
+		e := snapshotEntry{Path: p, IsDir: c.isDir, Mode: c.mode, ModTime: c.modTime}
+		if !c.isDir {
+			e.Data = c.data[:len(c.data):len(c.data)]
 		}
 		entries = append(entries, e)
 		return nil
 	})
-	if err != nil {
-		return fmt.Errorf("vfs save: %w", err)
-	}
+	f.mu.RUnlock()
 	if err := gob.NewEncoder(w).Encode(entries); err != nil {
 		return fmt.Errorf("vfs save: encode: %w", err)
 	}
@@ -50,6 +47,7 @@ func (f *FS) Save(w io.Writer) error {
 }
 
 // Load replaces the filesystem contents with a snapshot produced by Save.
+// Each decoded file buffer becomes the file's contents without a copy.
 func (f *FS) Load(r io.Reader) error {
 	var entries []snapshotEntry
 	if err := gob.NewDecoder(r).Decode(&entries); err != nil {
@@ -65,7 +63,7 @@ func (f *FS) Load(r io.Reader) error {
 			}
 			continue
 		}
-		if err := f.WriteFile(e.Path, e.Data, e.Mode); err != nil {
+		if err := f.writeOwned(e.Path, e.Data, e.Mode); err != nil {
 			return fmt.Errorf("vfs load: %w", err)
 		}
 	}

@@ -220,6 +220,14 @@ func (f *FS) MkdirAll(p string) error {
 // WriteFile writes data to the named file, creating parent directories as
 // needed and truncating any existing file.
 func (f *FS) WriteFile(p string, data []byte, mode fs.FileMode) error {
+	buf := make([]byte, len(data))
+	copy(buf, data)
+	return f.writeOwned(p, buf, mode)
+}
+
+// writeOwned is WriteFile for a buffer the caller hands over: the file
+// keeps buf itself, so the caller must not modify it afterwards.
+func (f *FS) writeOwned(p string, buf []byte, mode fs.FileMode) error {
 	dir := path.Dir(path.Clean("/" + p))
 	if err := f.MkdirAll(dir); err != nil {
 		return err
@@ -234,8 +242,6 @@ func (f *FS) WriteFile(p string, data []byte, mode fs.FileMode) error {
 	if existing, ok := parent.children[name]; ok && existing.isDir {
 		return &PathError{Op: "write", Path: p, Err: ErrIsDir}
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
 	parent.children[name] = &node{
 		name:    name,
 		data:    buf,
@@ -504,10 +510,21 @@ func (f *FS) Walk(root string, fn WalkFunc) error {
 	if err != nil {
 		return &PathError{Op: "walk", Path: root, Err: err}
 	}
-	return walkNode(path.Clean("/"+root), n, fn)
+	return walkNode(path.Clean("/"+root), n, func(p string, c *node) error {
+		return fn(Stat{
+			Name:    c.name,
+			Path:    p,
+			IsDir:   c.isDir,
+			Size:    int64(len(c.data)),
+			Mode:    c.mode,
+			ModTime: c.modTime,
+		})
+	})
 }
 
-func walkNode(base string, n *node, fn WalkFunc) error {
+// walkNode calls fn for every node below n, in depth-first lexicographic
+// order, with the node's path under base. The caller holds f.mu.
+func walkNode(base string, n *node, fn func(p string, c *node) error) error {
 	if !n.isDir {
 		return nil
 	}
@@ -519,15 +536,7 @@ func walkNode(base string, n *node, fn WalkFunc) error {
 	for _, name := range names {
 		c := n.children[name]
 		p := path.Join(base, name)
-		st := Stat{
-			Name:    c.name,
-			Path:    p,
-			IsDir:   c.isDir,
-			Size:    int64(len(c.data)),
-			Mode:    c.mode,
-			ModTime: c.modTime,
-		}
-		if err := fn(st); err != nil {
+		if err := fn(p, c); err != nil {
 			return err
 		}
 		if c.isDir {

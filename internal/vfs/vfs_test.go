@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestWriteReadFile(t *testing.T) {
@@ -623,5 +625,107 @@ func TestOpsCounter(t *testing.T) {
 	}
 	if c := fs.Clone(); c.Ops() != 0 {
 		t.Errorf("clone inherited the op counter: %d", c.Ops())
+	}
+}
+
+// TestSaveUnderConcurrentWriters is the regression test for a Save that
+// took the read lock twice (once in Walk, again per file): a writer queued
+// between the two blocked the second RLock behind it and hung Save. One
+// goroutine rewrites and appends files while Save runs 200 times; every
+// save must finish before the deadline, and each image must load with the
+// appended log holding only whole records.
+func TestSaveUnderConcurrentWriters(t *testing.T) {
+	fs := New()
+	for i := 0; i < 50; i++ {
+		if err := fs.WriteFile(fmt.Sprintf("/d/f%02d", i), []byte("seed"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const record = "record-0123456789\n"
+	stop := make(chan struct{})
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := fs.WriteFile(fmt.Sprintf("/d/f%02d", i%50), []byte(fmt.Sprint(i)), 0o644); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := fs.Append("/log", []byte(record)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	saved := make(chan error, 1)
+	var images [][]byte
+	go func() {
+		for i := 0; i < 200; i++ {
+			var buf bytes.Buffer
+			if err := fs.Save(&buf); err != nil {
+				saved <- err
+				return
+			}
+			if i%20 == 0 {
+				images = append(images, buf.Bytes())
+			}
+		}
+		saved <- nil
+	}()
+	select {
+	case err := <-saved:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Save deadlocked against a concurrent writer")
+	}
+	close(stop)
+	<-writerDone
+	for i, img := range images {
+		restored := New()
+		if err := restored.Load(bytes.NewReader(img)); err != nil {
+			t.Fatalf("image %d: %v", i, err)
+		}
+		data, err := restored.ReadFile("/log")
+		if errors.Is(err, ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("image %d: %v", i, err)
+		}
+		if len(data)%len(record) != 0 || string(data) != strings.Repeat(record, len(data)/len(record)) {
+			t.Fatalf("image %d: log is not whole records (%d bytes)", i, len(data))
+		}
+	}
+}
+
+// TestLoadKeepsDecodedBuffers pins that Load, which keeps each decoded
+// buffer as a file's contents, leaves files independent: appending to one
+// loaded file changes no other.
+func TestLoadKeepsDecodedBuffers(t *testing.T) {
+	src := New()
+	_ = src.WriteFile("/a", []byte("alpha"), 0o644)
+	_ = src.WriteFile("/b", []byte("beta"), 0o644)
+	var buf bytes.Buffer
+	if err := src.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dst := New()
+	if err := dst.Load(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.Append("/a", []byte("-more")); err != nil {
+		t.Fatal(err)
+	}
+	for p, want := range map[string]string{"/a": "alpha-more", "/b": "beta"} {
+		if got, err := dst.ReadFile(p); err != nil || string(got) != want {
+			t.Errorf("%s = %q, %v; want %q", p, got, err, want)
+		}
 	}
 }
